@@ -92,8 +92,6 @@ def make_tiers(
         cap = float("inf")
         if total_gb is not None:
             cap = CAPACITY_FRACTION[n] * total_gb
-            if cap != float("inf"):
-                cap = cap
         tiers.append(
             Tier(
                 name=n,
@@ -133,8 +131,13 @@ class CostWeights:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Cost breakdown of placing one partition on one tier with one scheme."""
+    """Cost breakdown of placing a partition on a tier with a scheme.
 
+    Fields are floats for one candidate, or aligned numpy/pandas columns for
+    a candidate table (see :func:`placement_cost`).
+    """
+
+    stored_gb: float
     storage: float
     read: float
     decompress: float
@@ -147,11 +150,55 @@ class Assignment:
         return self.storage + self.read + self.decompress + self.transfer
 
     def weighted(self, w: CostWeights) -> float:
+        """The ILP objective: α·storage + γ·transfer + β·(read + decompress)."""
         return (
             w.alpha * self.storage
             + w.gamma * self.transfer
             + w.beta * (self.read + self.decompress)
         )
+
+
+def placement_cost(
+    *,
+    span_gb,
+    accesses,
+    months: float,
+    storage_price,
+    read_price,
+    write_price,
+    ttfb,
+    src_read_price,
+    moved,
+    ratio,
+    decomp_sec_per_gb,
+) -> Assignment:
+    """The ILP objective terms of placing partitions on tiers (§IV-A).
+
+    The single home of the placement-cost arithmetic. Every operand may be a
+    float or a numpy/pandas column; columns combine elementwise, so one call
+    prices a whole candidate table.
+
+    ``ratio`` is the compression ratio R (stored size = span/R); the
+    'no compression' scheme is ``ratio=1, decomp_sec_per_gb=0``.
+    Decompression time per access is ``decomp_sec_per_gb x span`` — the
+    *uncompressed* span, matching the paper's D_i^k "decompression time"
+    per access of the partition (Table VIII reports sec/GB).
+    The transfer price is Δ(u, v) = C^r_u + C^w_v per stored GB when the
+    partition moves (``moved``), and 0 when it stays on its tier;
+    ``src_read_price`` is C^r_u, 0 for newly ingested data.
+    """
+    stored_gb = span_gb / ratio
+    d_time = decomp_sec_per_gb * span_gb
+    delta = (src_read_price + write_price) * moved
+    return Assignment(
+        stored_gb=stored_gb,
+        storage=storage_price * stored_gb * months,
+        read=accesses * read_price * stored_gb,
+        decompress=accesses * COMPUTE_COST * d_time,
+        transfer=delta * stored_gb,
+        read_latency=ttfb,
+        decompress_latency=d_time,
+    )
 
 
 def assignment_cost(
@@ -166,28 +213,23 @@ def assignment_cost(
 ) -> Assignment:
     """Cost of one (partition, tier, scheme) candidate — the ILP objective terms.
 
-    ``ratio`` is the compression ratio R (stored size = span/R); the
-    'no compression' scheme is ``ratio=1, decomp_sec_per_gb=0`` (§IV-A).
-    Decompression time per access is ``decomp_sec_per_gb x span`` — the
-    *uncompressed* span, matching the paper's D_i^k "decompression time"
-    per access of the partition (Table VIII reports sec/GB).
+    ``current_tier`` is the partition's tier today (None for new data). The
+    source read price is looked up by name (0 for new data or non-standard
+    source tiers); the destination prices come from ``tier`` itself, so
+    custom :class:`Tier` objects (tests, reductions) price correctly.
     """
-    stored_gb = span_gb / ratio
-    d_time = decomp_sec_per_gb * span_gb
-    if current_tier == tier.name:
-        delta = 0.0
-    else:
-        # Δ(u, v) = C^r_u + C^w_v; src read looked up by name (0 for new data
-        # or non-standard source tiers), dst write from the tier itself so
-        # custom Tier objects (tests, reductions) price correctly.
-        delta = (READ_COST.get(current_tier, 0.0) if current_tier else 0.0) + tier.write_cost
-    return Assignment(
-        storage=tier.storage_cost * stored_gb * months,
-        read=accesses * tier.read_cost * stored_gb,
-        decompress=accesses * COMPUTE_COST * d_time,
-        transfer=delta * stored_gb,
-        read_latency=tier.ttfb,
-        decompress_latency=d_time,
+    return placement_cost(
+        span_gb=span_gb,
+        accesses=accesses,
+        months=months,
+        storage_price=tier.storage_cost,
+        read_price=tier.read_cost,
+        write_price=tier.write_cost,
+        ttfb=tier.ttfb,
+        src_read_price=READ_COST.get(current_tier, 0.0) if current_tier else 0.0,
+        moved=current_tier != tier.name,
+        ratio=ratio,
+        decomp_sec_per_gb=decomp_sec_per_gb,
     )
 
 

@@ -38,16 +38,12 @@ def _fractional_overlap(
     b: FilePart | MergedPartition,
     file_sizes: dict[str, float],
 ) -> float:
-    union = a.files | b.files
-    sp_u = span_of(frozenset(union), file_sizes)
+    sp_u = span_of(a.files | b.files, file_sizes)
     if sp_u == 0:
         return 0.0
-    ov = (
-        span_of(a.files, file_sizes)
-        + span_of(b.files, file_sizes)
-        - sp_u
-    )
-    return ov / sp_u
+    # Ov(a, b) = Sp(a ∩ b): exactly 0 for disjoint partitions, which
+    # Sp(a) + Sp(b) - Sp(a ∪ b) is not under float rounding.
+    return span_of(a.files & b.files, file_sizes) / sp_u
 
 
 def _as_merged(p: FilePart, file_sizes: dict[str, float]) -> MergedPartition:

@@ -99,7 +99,7 @@ def enumerate_options(
                 current_tier=p.current_tier,
             )
             out.append(
-                Option(t.name, s.scheme, p.span_gb / s.ratio, a.weighted(weights), a)
+                Option(t.name, s.scheme, a.stored_gb, a.weighted(weights), a)
             )
     return out
 
@@ -182,7 +182,9 @@ class FilePart:
 
 
 def span_of(files: frozenset[str], file_sizes: dict[str, float]) -> float:
-    return sum(file_sizes[f] for f in files)
+    """Sp(files), summed in sorted file order: a float sum in set iteration
+    order would depend on ``PYTHONHASHSEED``."""
+    return sum(file_sizes[f] for f in sorted(files))
 
 
 def merge_feasible(

@@ -25,6 +25,14 @@ class _Node:
         return self.left is None
 
 
+def _threshold(lo: float, hi: float) -> float:
+    """A split point with ``lo <= thr < hi``: the midpoint, or ``lo`` when the
+    midpoint of two adjacent floats rounds up onto ``hi`` (which would send
+    every row left and leave the right child empty)."""
+    mid = (lo + hi) / 2
+    return float(mid) if mid < hi else float(lo)
+
+
 def _best_split_mse(X: np.ndarray, y: np.ndarray, feat_idx: np.ndarray, min_leaf: int):
     """Best (feature, threshold) by SSE reduction; None if no valid split."""
     n = len(y)
@@ -52,7 +60,7 @@ def _best_split_mse(X: np.ndarray, y: np.ndarray, feat_idx: np.ndarray, min_leaf
         k = int(np.argmin(sse))
         gain = base_sse - float(sse[k])
         if gain > best[2] + 1e-12:
-            best = (f, float((xs[k] + xs[k + 1]) / 2), gain)
+            best = (f, _threshold(xs[k], xs[k + 1]), gain)
     return best
 
 
@@ -79,7 +87,7 @@ def _best_split_gini(X, y_onehot, feat_idx, min_leaf):
         k = int(np.argmin(w))
         gain = base - float(w[k])
         if gain > best[2] + 1e-12:
-            best = (f, float((xs[k] + xs[k + 1]) / 2), gain)
+            best = (f, _threshold(xs[k], xs[k + 1]), gain)
     return best
 
 

@@ -183,15 +183,16 @@ def policy_cost(
     OPTASSIGN (on predictions) and the rule baselines."""
     fr = future_reads(logs, t0, horizon)
     exists = meta[meta["created_month"] <= t0]
+    tiers = {t.name: t for t in cm.make_tiers()}
     total = 0.0
     for r in exists.itertuples(index=False):
-        tier = tier_of.get(r.dataset_id, current_tier)
-        reads = float(fr.get(r.dataset_id, 0.0))
-        total += (
-            cm.STORAGE_COST[tier] * r.size_gb * horizon
-            + cm.READ_COST[tier] * r.size_gb * reads
-            + cm.tier_change_cost(current_tier, tier) * r.size_gb
-        )
+        total += cm.assignment_cost(
+            span_gb=r.size_gb,
+            accesses=float(fr.get(r.dataset_id, 0.0)),
+            months=horizon,
+            tier=tiers[tier_of.get(r.dataset_id, current_tier)],
+            current_tier=current_tier,
+        ).total
     return total
 
 

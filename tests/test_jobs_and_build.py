@@ -1,4 +1,4 @@
-"""Smoke coverage for the spark-submit entrypoints and the offline build
+"""Smoke coverage for the job entrypoints and the offline build
 backend (neither runs a full job — benches cover the heavy paths)."""
 import importlib.util
 import pathlib
@@ -9,6 +9,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 JOB_FILES = sorted(p for p in (ROOT / "jobs").glob("*.py") if p.name != "_common.py")
+TABLE_JOB = ROOT / "jobs" / "table.py"
+TABLES = range(2, 12)
 
 
 def _load(path: pathlib.Path):
@@ -21,15 +23,27 @@ def _load(path: pathlib.Path):
 class TestJobs:
     def test_one_job_per_table(self):
         names = {p.stem for p in JOB_FILES}
-        for n in range(2, 12):
-            assert f"table{n:02d}" in names, f"missing job for Table {n}"
-        for extra in ("optassign_job", "gpart_job", "compredict_job", "scope_pipeline"):
+        for extra in ("table", "optassign_job", "gpart_job", "compredict_job", "scope_pipeline"):
             assert extra in names
+        job = _load(TABLE_JOB)
+        for n in TABLES:
+            mod = job.experiment(n)
+            assert mod.__name__ == f"repro.experiments.table{n:02d}"
+            assert callable(mod.run) and hasattr(mod, "PAPER")
+        for n in (1, 12):
+            with pytest.raises(ValueError):
+                job.experiment(n)
 
-    @pytest.mark.parametrize("path", JOB_FILES, ids=lambda p: p.stem)
-    def test_job_importable_with_main(self, path):
+    @pytest.mark.parametrize(
+        "path,table",
+        [pytest.param(p, None, id=p.stem) for p in JOB_FILES if p != TABLE_JOB]
+        + [pytest.param(TABLE_JOB, n, id=f"table{n:02d}") for n in TABLES],
+    )
+    def test_job_importable_with_main(self, path, table):
         mod = _load(path)
         assert callable(mod.main)
+        if table is not None:
+            assert mod.experiment(table).__name__.endswith(f"table{table:02d}")
 
     def test_common_show_formats(self, capsys):
         import pandas as pd

@@ -126,6 +126,28 @@ class TestTrees:
         with pytest.raises(ValueError):
             model().fit(np.zeros((3, 2)), np.zeros(4))
 
+    @staticmethod
+    def _one_ulp_apart():
+        # lo has an odd mantissa, so the midpoint (lo + hi) / 2 rounds up to hi.
+        lo = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(lo, 2.0)
+        assert (lo + hi) / 2 == hi
+        return np.array([[lo], [lo], [hi], [hi]])
+
+    def test_regressor_split_one_ulp_apart(self):
+        X = self._one_ulp_apart()
+        t = DecisionTreeRegressor().fit(X, [0.0, 0.0, 1.0, 1.0])
+        left = X[:, 0] <= t._root.threshold
+        assert 0 < left.sum() < len(X)
+        assert np.isfinite(t.predict(X)).all()
+
+    def test_classifier_split_one_ulp_apart(self):
+        X = self._one_ulp_apart()
+        c = DecisionTreeClassifier().fit(X, ["a", "a", "b", "b"])
+        left = X[:, 0] <= c._root.threshold
+        assert 0 < left.sum() < len(X)
+        assert np.isfinite(c.predict_proba(X)).all()
+
     def test_deterministic(self):
         Xtr, ytr, Xte, _ = _toy_regression()
         p1 = DecisionTreeRegressor(random_state=1).fit(Xtr, ytr).predict(Xte)

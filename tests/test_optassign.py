@@ -1,4 +1,4 @@
-"""OPTASSIGN: Spark job vs numpy twin vs exact ILP (Theorem 3), capacity repair."""
+"""OPTASSIGN: greedy vs exact ILP (Theorem 3), candidate table, capacity repair."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -85,6 +85,13 @@ class TestGreedyVsExact:
         _, exact_cost = solve_optassign_exact(specs, tiers, pred_map, months=months)
         assert got["weighted_cost"].sum() == pytest.approx(exact_cost, rel=1e-9)
 
+    def test_k0_tiering_only(self):
+        parts = _parts(5, seed=3)
+        tiers = cm.make_tiers(("hot", "cool"))
+        got = oa.greedy_assign_numpy(parts, None, tiers, months=2.0)
+        assert set(got["scheme"]) == {"none"}
+        assert len(got) == 5
+
 
 class TestCandidates:
     def test_latency_constraint_applied(self):
@@ -136,41 +143,6 @@ class TestCandidates:
         )
         with pytest.raises(ValueError):
             oa.greedy_assign_numpy(parts, None, cm.make_tiers(), months=1.0)
-
-
-class TestSparkJob:
-    """The DataFrame implementation agrees with the numpy twin row-for-row."""
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_spark_matches_numpy(self, spark, seed):
-        parts = _parts(12, seed=seed)
-        preds = _preds(parts["pid"], seed=seed)
-        tiers = cm.make_tiers()
-        want = oa.greedy_assign_numpy(parts, preds, tiers, months=4.0)
-        got = (
-            oa.greedy_assign(
-                spark,
-                spark.createDataFrame(parts),
-                spark.createDataFrame(preds),
-                tiers,
-                months=4.0,
-            )
-            .toPandas()
-            .sort_values("pid", ignore_index=True)
-        )
-        want = want.sort_values("pid", ignore_index=True)
-        assert got["tier"].tolist() == want["tier"].tolist()
-        assert got["scheme"].tolist() == want["scheme"].tolist()
-        np.testing.assert_allclose(got["weighted_cost"], want["weighted_cost"])
-
-    def test_spark_k0_tiering_only(self, spark):
-        parts = _parts(5, seed=3)
-        tiers = cm.make_tiers(("hot", "cool"))
-        got = oa.greedy_assign(
-            spark, spark.createDataFrame(parts), None, tiers, months=2.0
-        ).toPandas()
-        assert set(got["scheme"]) == {"none"}
-        assert len(got) == 5
 
 
 class TestCapacityRepair:

@@ -1,5 +1,11 @@
 """The unified SCOPe pipeline: partition construction, policy grid, and the
 end-to-end tiered-write integration."""
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -19,6 +25,23 @@ def setup():
         tables, n_queries=200, seed=0, sort_cols=sd.ENTERPRISE_SORT_COL
     )
     return tables, queries
+
+
+#: Builds the ``setup`` instance and prints its G-PART partitions as JSON.
+_GPART_SCRIPT = """
+import json
+from repro import synth_data as sd
+from repro.core import pipeline as pl
+from repro.experiments import common
+from repro.workload import queries as wq
+
+tables = common.enterprise_table_files(sf=0.002, n_files=10, seed=0)
+queries = wq.gen_zipf_workload(
+    tables, n_queries=200, seed=0, sort_cols=sd.ENTERPRISE_SORT_COL
+)
+parts = pl.gpart_partitions(tables, queries, max_rows=100)
+print(json.dumps([[p.pid, p.table, p.files, p.span_gb, p.rho] for p in parts]))
+"""
 
 
 class TestPartitionConstruction:
@@ -54,6 +77,21 @@ class TestPartitionConstruction:
         for p in pl.gpart_partitions(tables, queries, max_rows=100):
             tbls = {f.split("/")[0] for f in p.files}
             assert tbls == {p.table}
+
+    def test_gpart_independent_of_hash_seed(self):
+        """Same partitions, none spanning two tables, under every hash seed
+        (42, 46 and 54 used to merge disjoint partitions)."""
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for seed in (1, 42, 46, 54):
+            env = {**os.environ, "PYTHONHASHSEED": str(seed),
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            run = subprocess.run([sys.executable, "-c", _GPART_SCRIPT], env=env,
+                                 capture_output=True, text=True, check=True)
+            outs.append(run.stdout)
+        for _, table, files, _, _ in json.loads(outs[0]):
+            assert {f.split("/")[0] for f in files} == {table}
+        assert outs == [outs[0]] * len(outs)
 
 
 class TestMeasureAndPolicies:
