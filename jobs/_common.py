@@ -1,26 +1,15 @@
 """Shared plumbing for the job entrypoints.
 
-Jobs that run Spark DataFrame code build (or reuse) a SparkSession the same
-way conftest.py does; jobs print a paper-vs-measured table. Run as::
+Every job runs in one Python process with pandas/numpy (no SparkSession):
+each pipeline stage has one implementation, and a Spark version of each
+was slower at every size the jobs use (README "Spark usage"). Jobs print a
+paper-vs-measured table. Run as::
 
     python jobs/<name>.py [args]
-    # or, for the Spark jobs: spark-submit jobs/<name>.py [args]
 """
 from __future__ import annotations
 
 import sys
-
-from pyspark.sql import SparkSession
-
-
-def get_spark(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.ui.enabled", "false")
-        .getOrCreate()
-    )
 
 
 def show(title: str, paper, ours) -> None:

@@ -26,7 +26,13 @@ def experiment(n: int):
 def main(n: int) -> None:
     mod = experiment(n)
     out = mod.run()
-    show(f"Table {n}", mod.PAPER, out[0] if isinstance(out, tuple) else out)
+    if isinstance(out, tuple):  # Tables IX-XI: (table, per-policy results)
+        out = out[0]
+    if isinstance(out, dict):  # Table III: confusion matrix and F1 scores
+        show(f"Table {n}", mod.PAPER, out["confusion"])
+        print(mod.f1_line(out))
+    else:
+        show(f"Table {n}", mod.PAPER, out)
 
 
 if __name__ == "__main__":

@@ -3,9 +3,12 @@
 Feature: per-datatype **weighted entropy**
 ``H(P, d) = -Σ_s len(s) · pr(s) · log pr(s)`` over the string renderings of
 all values in columns of datatype class ``d`` (int / float / object /
-datetime), capturing how much repetition a codec can exploit. Computed two
-ways — a Spark aggregation for large partitions and a vectorised pandas
-path for query-result samples — tested for equality.
+datetime), capturing how much repetition a codec can exploit. Computed in
+pandas: the experiments pass query-result samples of a few thousand rows,
+the largest input (``jobs/compredict_job.py`` on SF-0.01 lineitem) has
+60 000 rows, and a Spark aggregation of the same formula was slower even
+far above that (3.6 s pandas vs 22.5 s Spark at 3·10⁵ rows, 15.2 s vs
+22.1 s at 1.2·10⁶ rows; 4 cores, Spark ``local[4]``).
 
 Training data: **query-result samples** (the paper's key finding is that
 random row samples misrepresent what is actually read) labelled with ground
@@ -19,9 +22,6 @@ from typing import Callable, Iterable
 import numpy as np
 import pandas as pd
 from pandas.api import types as ptypes
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.ml import (
     GradientBoostedTreesRegressor,
@@ -41,7 +41,7 @@ SIZE_FEATURES = ("size_mb", "n_rows")
 
 
 def dtype_class(dtype) -> str:
-    """Map a pandas/Spark dtype to the paper's datatype buckets."""
+    """Map a pandas dtype to the paper's datatype buckets."""
     if ptypes.is_datetime64_any_dtype(dtype):
         return "datetime"
     if ptypes.is_bool_dtype(dtype):
@@ -66,7 +66,9 @@ def weighted_entropy_pandas(pdf: pd.DataFrame) -> dict[str, float]:
     for col in pdf.columns:
         cls = dtype_class(pdf[col].dtype)
         if cls == "datetime":
-            # Match the Spark path's 'yyyy-MM-dd HH:mm:ss' rendering.
+            # Always 'YYYY-MM-DD HH:MM:SS': astype(str) drops the time of an
+            # all-midnight column, and the string lengths enter H, so the
+            # recorded features depend on this rendering byte for byte.
             rendered = pdf[col].dt.strftime("%Y-%m-%d %H:%M:%S")
         else:
             rendered = pdf[col].astype(str)
@@ -76,67 +78,6 @@ def weighted_entropy_pandas(pdf: pd.DataFrame) -> dict[str, float]:
         vc = pooled.value_counts()
         feats[f"H_{d}"] = _entropy_of_counts(vc.index.to_series(), vc.to_numpy())
     return feats
-
-
-_SPARK_CLASS = {
-    T.IntegerType: "int",
-    T.LongType: "int",
-    T.ShortType: "int",
-    T.ByteType: "int",
-    T.BooleanType: "int",
-    T.FloatType: "float",
-    T.DoubleType: "float",
-    T.TimestampType: "datetime",
-    T.DateType: "datetime",
-}
-
-
-def weighted_entropy_spark(df: DataFrame) -> dict[str, float]:
-    """Distributed H(P, d): per class, stack columns (cast to string), count
-    values, and aggregate ``-Σ len·pr·log pr`` with Catalyst expressions.
-
-    Datetime columns are rendered via pandas-compatible str() casts so the
-    two paths agree byte-for-byte (tested).
-    """
-    feats = {f: 0.0 for f in ENTROPY_FEATURES}
-    by_class: dict[str, list[str]] = {}
-    for f_ in df.schema.fields:
-        cls = _SPARK_CLASS.get(type(f_.dataType), "object")
-        if isinstance(f_.dataType, T.DecimalType):
-            cls = "float"
-        by_class.setdefault(cls, []).append(f_.name)
-    for d, cols in by_class.items():
-        stacked = None
-        for c in cols:
-            if d == "datetime":
-                # pandas str() of datetime64 gives 'YYYY-MM-DD HH:MM:SS'.
-                col = F.date_format(F.col(c), "yyyy-MM-dd HH:mm:ss")
-            elif d == "float":
-                # pandas str() of float: repr with trailing .0 etc. Cast via
-                # double -> string matches for round values produced here.
-                col = F.col(c).cast("string")
-            else:
-                col = F.col(c).cast("string")
-            part = df.select(col.alias("v"))
-            stacked = part if stacked is None else stacked.unionByName(part)
-        counts = stacked.groupBy("v").agg(F.count("*").alias("c"))
-        row = (
-            counts.withColumn("total", F.sum("c").over(Window_all()))
-            .withColumn("pr", F.col("c") / F.col("total"))
-            .agg(
-                (-F.sum(F.length("v") * F.col("pr") * F.log(F.col("pr")))).alias("H")
-            )
-            .collect()[0]
-        )
-        feats[f"H_{d}"] = float(row["H"] or 0.0)
-    return feats
-
-
-def Window_all():
-    """An unpartitioned window (single total) — tiny result sets only."""
-    from pyspark.sql.window import Window
-
-    return Window.partitionBy(F.lit(1))
 
 
 # --------------------------------------------------------------------------

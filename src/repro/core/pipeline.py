@@ -220,6 +220,7 @@ class PolicyResult:
     decomp_latency_ms: float
     tiering_scheme: list[int]
     assignment: pd.DataFrame
+    partitions: list[PipelinePartition]  # what ``assignment`` places
 
     def row(self) -> dict:
         return {
@@ -300,6 +301,7 @@ def run_policy(
         ),
         tiering_scheme=tier_counts,
         assignment=a,
+        partitions=partitions,
     )
 
 

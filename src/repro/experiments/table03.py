@@ -84,3 +84,9 @@ def run(
         "predicted": pd.Series(y_pred, index=f.loc[keep, "dataset_id"].to_numpy()),
         "ideal": pd.Series(y_true, index=f.loc[keep, "dataset_id"].to_numpy()),
     }
+
+
+def f1_line(res: dict) -> str:
+    """The F1 summary printed under the confusion matrix."""
+    return (f"F1 hot={res['f1_hot']:.4f} cool={res['f1_cool']:.4f} "
+            f"(paper: F1 > {PAPER_F1})")

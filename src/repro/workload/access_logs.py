@@ -9,8 +9,10 @@ all the tiering experiments depend on (DESIGN.md substitution #6).
 
 Also provides the access-predictor machinery of §IV-C: feature extraction
 (size, age, last-W-months reads/writes), ideal-tier labelling via OPTASSIGN
-with known future accesses, the intuitive baselines of Table IV, and a
-Spark monthly-aggregation job for event-level logs (oracle-checked).
+with known future accesses, and the intuitive baselines of Table IV. The
+generator emits monthly counts directly, so there is no event-level
+aggregation step; everything here is pandas (no experiment has more than
+760 datasets).
 """
 from __future__ import annotations
 
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import cost_model as cm
 from repro.core.optassign import greedy_assign_numpy
@@ -89,23 +89,6 @@ def gen_enterprise_logs(
                 {"dataset_id": r.dataset_id, "month": m, "reads": reads, "writes": writes}
             )
     return meta, pd.DataFrame(rows)
-
-
-# --------------------------------------------------------------------------
-# Spark aggregation of event-level logs (the production path; oracle-tested)
-# --------------------------------------------------------------------------
-def monthly_counts_spark(events: DataFrame) -> DataFrame:
-    """Aggregate an event-level log (dataset_id, ts, op∈{read,write}) into
-    monthly read/write counts — the DataFrame job that would front the
-    generator's output in production."""
-    return (
-        events.withColumn("month", F.date_format("ts", "yyyy-MM"))
-        .groupBy("dataset_id", "month")
-        .agg(
-            F.sum(F.when(F.col("op") == "read", 1).otherwise(0)).alias("reads"),
-            F.sum(F.when(F.col("op") == "write", 1).otherwise(0)).alias("writes"),
-        )
-    )
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,13 @@ Two workloads:
   popularity over file positions, the paper's own substitution for missing
   Enterprise-II access logs.
 
-Every query's ``where`` clause is valid in both Spark SQL and DuckDB so
-results can be oracle-checked.
+Queries run locally through DuckDB (:func:`run_query_pandas`, which
+materialises COMPREDICT's query-result samples). Every ``where`` clause is
+also valid Spark SQL, so tests run the same SQL on Spark and diff the
+result against DuckDB (:mod:`repro.oracle`).
+
+:func:`workload_fileparts` groups the queries into query families, the
+initial partitions of DATAPART/G-PART.
 """
 from __future__ import annotations
 
@@ -24,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.ilp import FilePart
 
@@ -304,12 +308,6 @@ def gen_zipf_workload(
     return out
 
 
-def run_query_spark(spark: SparkSession, sdf: DataFrame, q: Query) -> DataFrame:
-    """Execute a query on Spark (the result is a COMPREDICT sample)."""
-    sdf.createOrReplaceTempView(f"_q_{q.table}")
-    return spark.sql(q.sql(relation=f"_q_{q.table}"))
-
-
 def run_query_pandas(pdf: pd.DataFrame, q: Query) -> pd.DataFrame:
     """DuckDB-equivalent local execution (used for sample materialisation)."""
     import duckdb
@@ -322,13 +320,13 @@ def run_query_pandas(pdf: pd.DataFrame, q: Query) -> pd.DataFrame:
         con.close()
 
 
-def query_log(queries: list[Query]) -> list[tuple[str, frozenset[str]]]:
-    """The (query_id, files) access log DATAPART consumes."""
-    return [(q.query_id, q.files) for q in queries]
-
-
 def workload_fileparts(queries: list[Query]) -> list[FilePart]:
-    """Group queries into query families = DATAPART initial partitions."""
+    """Group queries into query families = DATAPART initial partitions.
+
+    One :class:`FilePart` per distinct file set, with ρ = the number of
+    queries touching exactly that set; pids ``q0, q1, …`` follow the order
+    of the sorted file lists, so the result does not depend on query order.
+    """
     fams: dict[frozenset[str], int] = {}
     for q in queries:
         fams[q.files] = fams.get(q.files, 0) + 1

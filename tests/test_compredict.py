@@ -1,4 +1,4 @@
-"""COMPREDICT: weighted-entropy features (pandas + Spark), samples, models."""
+"""COMPREDICT: weighted-entropy features, samples, models."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -67,12 +67,6 @@ class TestWeightedEntropy:
         a = cp.weighted_entropy_pandas(pd.DataFrame({"x": ["a", "b"], "y": ["a", "b"]}))
         b = cp.weighted_entropy_pandas(pd.DataFrame({"x": ["a", "b", "a", "b"]}))
         assert a["H_object"] == pytest.approx(b["H_object"])
-
-    def test_spark_matches_pandas(self, spark, frame):
-        got = cp.weighted_entropy_spark(spark.createDataFrame(frame))
-        want = cp.weighted_entropy_pandas(frame)
-        for k in cp.ENTROPY_FEATURES:
-            assert got[k] == pytest.approx(want[k], rel=1e-9), k
 
 
 class TestSamples:

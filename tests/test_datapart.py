@@ -1,9 +1,8 @@
-"""DATAPART: query families, the ordered-partition DP (Theorem 5), and the
-ε-bucketed approximation scheme (Theorem 6)."""
+"""DATAPART: query families (``workload_fileparts``), the ordered-partition
+DP (Theorem 5), and the ε-bucketed approximation scheme (Theorem 6)."""
 import math
 
 import numpy as np
-import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +10,12 @@ from hypothesis import strategies as st
 from repro.core.datapart import (
     Interval,
     _union_length,
-    initial_partitions_python,
-    initial_partitions_spark,
     merge_stats,
     ordered_approx,
     ordered_brute_force,
     ordered_dp,
-    to_fileparts,
 )
+from repro.workload.queries import Query, workload_fileparts
 
 
 def _random_intervals(n, seed):
@@ -126,31 +123,23 @@ class TestInitialPartitions:
         ("q4", frozenset(["f2"])),
         ("q5", frozenset(["f0"])),
     ]
+    #: One family per distinct file set, ρ = its query count, pids in the
+    #: order of the sorted file lists.
+    FAMILIES = [
+        ("q0", frozenset(["f0"]), 1.0),
+        ("q1", frozenset(["f0", "f1"]), 2.0),
+        ("q2", frozenset(["f2"]), 2.0),
+    ]
+
+    @staticmethod
+    def _queries(log):
+        return [Query(query_id=q, table="t", where="TRUE", files=fs) for q, fs in log]
 
     def test_python_families(self):
-        fams = initial_partitions_python(self.LOG)
-        assert len(fams) == 3
-        got = {tuple(r.files): r.rho for r in fams.itertuples(index=False)}
-        assert got == {("f0", "f1"): 2, ("f2",): 2, ("f0",): 1}
-
-    def test_spark_matches_python(self, spark):
-        qf = spark.createDataFrame(
-            pd.DataFrame(
-                [(q, f) for q, fs in self.LOG for f in sorted(fs)],
-                columns=["query_id", "file"],
-            )
-        )
-        got = initial_partitions_spark(qf)
-        want = initial_partitions_python(self.LOG)
-        pd.testing.assert_frame_equal(
-            got.reset_index(drop=True), want.reset_index(drop=True), check_dtype=False
-        )
+        parts = workload_fileparts(self._queries(self.LOG))
+        assert [(p.pid, p.files, p.rho) for p in parts] == self.FAMILIES
 
     def test_to_fileparts(self):
-        fams = initial_partitions_python(self.LOG)
-        parts = to_fileparts(fams)
-        assert len(parts) == 3
-        assert all(p.pid.startswith("q") for p in parts)
-        assert {p.files for p in parts} == {
-            frozenset(["f0", "f1"]), frozenset(["f2"]), frozenset(["f0"]),
-        }
+        """Families, ρ and pids do not depend on the order of the log."""
+        parts = workload_fileparts(self._queries(self.LOG[::-1]))
+        assert [(p.pid, p.files, p.rho) for p in parts] == self.FAMILIES

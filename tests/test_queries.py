@@ -96,9 +96,10 @@ class TestQueryFileMapping:
         assert sum(p.rho for p in fams) == len(workload)
 
     def test_query_log_shape(self, workload):
-        log = wq.query_log(workload)
-        assert len(log) == len(workload)
-        assert all(isinstance(fs, frozenset) for _, fs in log)
+        """Each query's file set is exactly one family."""
+        fams = wq.workload_fileparts(workload)
+        assert len({p.files for p in fams}) == len(fams)
+        assert {p.files for p in fams} == {q.files for q in workload}
 
 
 class TestZipfWorkload:
@@ -134,8 +135,8 @@ class TestSparkExecutionOracle:
     def test_query_matches_duckdb(self, spark, tables, workload, template):
         q = next(x for x in workload if x.query_id.startswith(template))
         tf = tables[q.table]
-        sdf = spark.createDataFrame(tf.pdf)
-        got = wq.run_query_spark(spark, sdf, q)
+        spark.createDataFrame(tf.pdf).createOrReplaceTempView(f"_q_{q.table}")
+        got = spark.sql(q.sql(relation=f"_q_{q.table}"))
         assert_equivalent(got, q.sql(), **{q.table: tf.pdf})
 
     def test_aggregation_query_matches_duckdb(self, spark, tables):

@@ -33,11 +33,14 @@ class TestCostLinearity:
         qb = wq.gen_tpch_workload(t_big, n_per_template=3, seed=0)
         tbl_s, res_s = scope_policy_table(t_small, qs, max_rows=300, query_repeat=5.0)
         tbl_b, res_b = scope_policy_table(t_big, qb, max_rows=300, query_repeat=5.0)
-        # Exact 10x linearity for the unpartitioned policies. G-PART rows are
-        # only compared on tier mix: fractional overlaps are scale-invariant
-        # up to float ULPs, and near-ties in the merge heap may order
-        # differently across scales, perturbing individual partition spans.
-        for key in ("default", "ares", "hermes"):
+        # Exact 10x linearity for the unpartitioned policies and for the
+        # G-PART rows without codecs (part_premium, part_tier): the exact
+        # overlap Sp(a ∩ b) / Sp(a ∪ b) merges the same partitions at both
+        # scales. The compressed G-PART rows are not compared: their
+        # decompression labels are wall-clock timings, measured afresh for
+        # each run, and can flip a partition's tier or scheme (scope_read
+        # differs between the two scales on some runs of seeds 0, 1 and 2).
+        for key in ("default", "ares", "hermes", "part_premium", "part_tier"):
             assert res_b[key].storage_cost == pytest.approx(
                 10 * res_s[key].storage_cost, rel=1e-6
             )
